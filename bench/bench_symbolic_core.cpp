@@ -72,17 +72,17 @@ BENCHMARK(BM_SubstituteAndEval)->Arg(4)->Arg(64);
 
 // --- Contention microbenches -----------------------------------------------
 //
-// The intern table used to be one global mutex; these benches put the
-// remaining contention (now per-shard) into a number instead of leaving it
-// inferred from end-to-end runs.  Two mixes, selected by the `disjoint` arg:
+// The intern table is one mutex; these benches put its contention into a
+// number instead of leaving it inferred from end-to-end runs.  Two mixes,
+// selected by the `disjoint` arg:
 //   disjoint:0 — every thread canonicalizes the *same* expressions, so all
-//                threads hammer the same shards (read-mostly probe hits; the
-//                worst case for reader-side lock traffic).
+//                threads hit the same nodes (probe hits: the pure lock
+//                traffic case).
 //   disjoint:1 — per-thread symbols, so threads touch mostly distinct nodes
-//                and shards (the scaling case parallel analysis relies on).
+//                (the scaling case parallel analysis relies on).
 // Per-thread throughput that collapses with thread count on a multicore
-// host means shard contention is back; on the 1-thread CI container the
-// /threads:N variants only measure oversubscription overhead.
+// host means the table lock has become a bottleneck; on a 1-thread host
+// the /threads:N variants only measure oversubscription overhead.
 
 void BM_ParallelMakeNode(benchmark::State& state) {
   const bool disjoint = state.range(0) != 0;

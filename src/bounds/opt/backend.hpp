@@ -39,12 +39,13 @@ struct VarBound {
   double hi = std::numeric_limits<double>::infinity();
 };
 
-/// Counts projected-objective evaluations against StopCriteria's
-/// solver-eval budget (the nlopt `maxeval` analogue) and polls
-/// deadline/cancellation every 32 ticks so the poll cost stays invisible
-/// next to the evaluation itself.  One guard per chi derivation — shared
-/// across the derivation's solves so the budget is per-derivation, not
-/// per-solve, and the evaluation that trips is deterministic.
+/// Counts projected-objective evaluations (always) and, when StopCriteria
+/// are set, checks them against the solver-eval budget (the nlopt `maxeval`
+/// analogue) and polls deadline/cancellation every 32 ticks so the poll
+/// cost stays invisible next to the evaluation itself.  One guard per chi
+/// derivation — shared across the derivation's solves so the budget is
+/// per-derivation, not per-solve, and the evaluation that trips is
+/// deterministic.
 struct EvalGuard {
   const support::StopCriteria* stop = nullptr;  ///< nullptr = unlimited
   std::uint64_t ticks = 0;
@@ -69,7 +70,7 @@ struct SolveRequest {
   /// nlopt-maxeval-style knob for tests; production paths leave it 0.
   int max_iterations = 0;
   /// Stop integration: ticked on every projected-objective evaluation.
-  /// Null = unlimited.
+  /// Null = unlimited (the solve then counts on a private guard).
   EvalGuard* guard = nullptr;
 };
 
@@ -79,7 +80,9 @@ struct SolveRequest {
 struct SolveResult {
   NumericOptimum optimum;
   ResultCode code = ResultCode::kNoConverge;
-  /// Projected-objective evaluations this solve performed.
+  /// Guard ticks (projected-objective evaluations and KKT steps) this
+  /// solve performed: its own count, even when the request's guard is
+  /// shared across a derivation's solves.
   std::uint64_t evaluations = 0;
   /// Set iff code == kStopReached: the AnalysisError the guard raised,
   /// stashed so the backend boundary stays exception-free; derive_chi

@@ -55,39 +55,48 @@ std::vector<std::vector<double>> base_seeds(const SolveRequest& request,
   return seeds;
 }
 
+// Runs one solve body and stamps the result with the evaluations this solve
+// performed.  A request's guard is per-derivation (its budget spans every
+// solve of a chi fit), so the count is the delta of its ticks; a request
+// without a guard counts on a private one.  A StopCriteria trip inside the
+// guard comes back as kStopReached with the AnalysisError stashed.
+template <class Body>
+SolveResult counted_solve(const SolveRequest& request, Body&& body) {
+  EvalGuard own;
+  EvalGuard* guard = request.guard != nullptr ? request.guard : &own;
+  const std::uint64_t start = guard->ticks;
+  SolveResult out;
+  try {
+    out = body(guard);
+  } catch (const support::AnalysisError& err) {
+    out.code = ResultCode::kStopReached;
+    out.stop_error = err;
+  }
+  out.evaluations = guard->ticks - start;
+  return out;
+}
+
 // Shared multi-start driver: run the single-start pipeline from every seed,
 // keep the best.  `converged` reports the winning start's convergence (the
 // all-zeros fallback point, used when every start is infeasible, counts as
 // not converged).
 SolveResult best_of_starts(const Evaluator& ev,
-                           const OptimizationProblem& problem,
-                           const SolveRequest& request,
+                           const OptimizationProblem& problem, double X,
                            const std::vector<std::vector<double>>& seeds,
-                           const BoundsView& bv, int iters) {
+                           EvalGuard* guard, const BoundsView& bv, int iters) {
   const std::size_t n = problem.vars.size();
   double best_obj = -1e300;
   std::vector<double> best_u(n, 0.0);
   bool best_converged = false;
   for (const auto& seed : seeds) {
-    SingleStart s =
-        run_single_start(ev, request.X, seed, iters, request.guard, bv);
+    SingleStart s = run_single_start(ev, X, seed, iters, guard, bv);
     if (s.objective > best_obj) {
       best_obj = s.objective;
       best_u = std::move(s.u);
       best_converged = s.converged;
     }
   }
-  return finish_solve(ev, problem, request.X, best_u, best_converged,
-                      request.guard, bv);
-}
-
-SolveResult stop_result(const support::AnalysisError& err,
-                        const SolveRequest& request) {
-  SolveResult out;
-  out.code = ResultCode::kStopReached;
-  out.stop_error = err;
-  out.evaluations = request.guard != nullptr ? request.guard->ticks : 0;
-  return out;
+  return finish_solve(ev, problem, X, best_u, best_converged, guard, bv);
 }
 
 class NelderMeadBackend final : public OptimizerBackend {
@@ -101,14 +110,12 @@ class NelderMeadBackend final : public OptimizerBackend {
     const std::size_t n = problem.vars.size();
     const int iters =
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
-    try {
+    return counted_solve(request, [&](EvalGuard* guard) {
       Evaluator ev(problem);
       BoundsView bv = BoundsView::make(n, request.bounds);
-      return best_of_starts(ev, problem, request, base_seeds(request, n), bv,
-                            iters);
-    } catch (const support::AnalysisError& err) {
-      return stop_result(err, request);
-    }
+      return best_of_starts(ev, problem, request.X, base_seeds(request, n),
+                            guard, bv, iters);
+    });
   }
 };
 
@@ -123,7 +130,7 @@ class MultistartBackend final : public OptimizerBackend {
     const std::size_t n = problem.vars.size();
     const int iters =
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
-    try {
+    return counted_solve(request, [&](EvalGuard* guard) {
       Evaluator ev(problem);
       BoundsView bv = BoundsView::make(n, request.bounds);
       std::vector<std::vector<double>> seeds = base_seeds(request, n);
@@ -143,10 +150,8 @@ class MultistartBackend final : public OptimizerBackend {
           seeds.push_back(std::move(jittered));
         }
       }
-      return best_of_starts(ev, problem, request, seeds, bv, iters);
-    } catch (const support::AnalysisError& err) {
-      return stop_result(err, request);
-    }
+      return best_of_starts(ev, problem, request.X, seeds, guard, bv, iters);
+    });
   }
 };
 
@@ -200,7 +205,7 @@ class SubplexBackend final : public OptimizerBackend {
     const std::size_t n = problem.vars.size();
     const int iters =
         request.max_iterations > 0 ? request.max_iterations : kDefaultIterations;
-    try {
+    return counted_solve(request, [&](EvalGuard* guard) {
       Evaluator ev(problem);
       BoundsView bv = BoundsView::make(n, request.bounds);
       double best_obj = -1e300;
@@ -208,10 +213,10 @@ class SubplexBackend final : public OptimizerBackend {
       bool best_converged = false;
       for (const auto& seed : base_seeds(request, n)) {
         bool conv = false;
-        std::vector<double> u = compass_search(ev, request.X, seed, iters,
-                                               request.guard, bv, &conv);
-        if (bv.defaulted) kkt_polish(ev, request.X, &u, request.guard, bv);
-        double obj = projected_objective(ev, u, request.X, bv, request.guard);
+        std::vector<double> u =
+            compass_search(ev, request.X, seed, iters, guard, bv, &conv);
+        if (bv.defaulted) kkt_polish(ev, request.X, &u, guard, bv);
+        double obj = projected_objective(ev, u, request.X, bv, guard);
         if (obj > best_obj) {
           best_obj = obj;
           best_u = std::move(u);
@@ -219,10 +224,8 @@ class SubplexBackend final : public OptimizerBackend {
         }
       }
       return finish_solve(ev, problem, request.X, best_u, best_converged,
-                          request.guard, bv);
-    } catch (const support::AnalysisError& err) {
-      return stop_result(err, request);
-    }
+                          guard, bv);
+    });
   }
 };
 

@@ -9,7 +9,7 @@
 // variable name, and composite operands in their stored canonical order —
 // which the structural compare() makes process-independent.
 //
-// What the key deliberately excludes: threads, executor, schedule, stop
+// What the key deliberately excludes: threads, executor, stop
 // criteria, and degrade_on_budget.  The determinism contract guarantees
 // those never change the derived bound — they only change who computes it
 // and whether a *budget trip* degrades it — and the cache never stores

@@ -1,6 +1,5 @@
 #include "support/interner.hpp"
 
-#include <atomic>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -10,35 +9,13 @@ namespace soap {
 
 namespace {
 
-/// Interner sharding: the name -> id index is split 16 ways by the name's
-/// hash, each slice behind its own mutex, so concurrent intern_symbol calls
-/// on different names proceed without contention.  Ids stay dense and in
-/// global first-intern order via one atomic counter.
-constexpr std::size_t kShardBits = 4;
-constexpr std::size_t kNumShards = 1u << kShardBits;  // 16
-
-/// id -> name directory: a two-level array of atomic pointers, appended-to
-/// only.  symbol_name() reads it lock-free — an id can only be observed by a
-/// caller after intern_symbol published its entry (release/acquire pairing),
-/// and entries are never removed or moved.
-constexpr std::size_t kSegmentSize = 4096;
-constexpr std::size_t kMaxSegments = 4096;  // 16M symbols, far beyond any run
-
-struct DirSegment {
-  std::atomic<const std::string*> names[kSegmentSize] = {};
-};
-
-struct InternShard {
+struct InternTable {
   std::mutex mu;
-  // string_view keys point into `names`, whose elements have stable addresses.
+  // string_view keys point into `names`, whose elements have stable
+  // addresses (a deque never moves its elements on push_back).  names[id]
+  // is the name of SymId{id}.
   std::unordered_map<std::string_view, std::uint32_t> index;
   std::deque<std::string> names;
-};
-
-struct InternTable {
-  std::atomic<std::uint32_t> count{0};
-  InternShard shards[kNumShards];
-  std::atomic<DirSegment*> directory[kMaxSegments] = {};
 };
 
 // Leaked on purpose: symbol nodes (and through them, interned exprs held in
@@ -49,60 +26,35 @@ InternTable& table() {
   return *t;
 }
 
-DirSegment& segment_for(std::uint32_t id) {
-  InternTable& t = table();
-  const std::size_t seg = id / kSegmentSize;
-  if (seg >= kMaxSegments) throw std::length_error("interner: id space full");
-  DirSegment* s = t.directory[seg].load(std::memory_order_acquire);
-  if (s == nullptr) {
-    auto* fresh = new DirSegment();
-    if (t.directory[seg].compare_exchange_strong(s, fresh,
-                                                 std::memory_order_acq_rel)) {
-      s = fresh;
-    } else {
-      delete fresh;  // another thread won the race; `s` now holds its segment
-    }
-  }
-  return *s;
-}
-
 }  // namespace
 
 SymId intern_symbol(std::string_view name) {
   InternTable& t = table();
-  const std::size_t h = std::hash<std::string_view>{}(name);
-  InternShard& sh =
-      t.shards[(h >> (8 * sizeof(std::size_t) - kShardBits)) & (kNumShards - 1)];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.index.find(name);
-  if (it != sh.index.end()) return SymId{it->second};
-  const std::string& stored = sh.names.emplace_back(name);
-  const std::uint32_t id = t.count.fetch_add(1, std::memory_order_relaxed);
-  // Publish before returning: any thread that can name this id got it
-  // (directly or transitively) from this call, ordering the acquire load in
-  // symbol_name after this release store.
-  segment_for(id).names[id % kSegmentSize].store(&stored,
-                                                 std::memory_order_release);
-  sh.index.emplace(std::string_view(stored), id);
+  std::lock_guard<std::mutex> lock(t.mu);
+  auto it = t.index.find(name);
+  if (it != t.index.end()) return SymId{it->second};
+  if (t.names.size() >= SymId::kInvalidValue) {
+    throw std::length_error("interner: id space full");
+  }
+  const auto id = static_cast<std::uint32_t>(t.names.size());
+  const std::string& stored = t.names.emplace_back(name);
+  t.index.emplace(std::string_view(stored), id);
   return SymId{id};
 }
 
 const std::string& symbol_name(SymId id) {
   InternTable& t = table();
-  if (id.valid() && id.value / kSegmentSize < kMaxSegments) {
-    if (DirSegment* seg =
-            t.directory[id.value / kSegmentSize].load(std::memory_order_acquire)) {
-      if (const std::string* name =
-              seg->names[id.value % kSegmentSize].load(std::memory_order_acquire)) {
-        return *name;
-      }
-    }
+  std::lock_guard<std::mutex> lock(t.mu);
+  if (!id.valid() || id.value >= t.names.size()) {
+    throw std::out_of_range("symbol_name: unknown SymId");
   }
-  throw std::out_of_range("symbol_name: unknown SymId");
+  return t.names[id.value];
 }
 
 std::size_t interned_symbol_count() {
-  return table().count.load(std::memory_order_acquire);
+  InternTable& t = table();
+  std::lock_guard<std::mutex> lock(t.mu);
+  return t.names.size();
 }
 
 }  // namespace soap

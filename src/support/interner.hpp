@@ -7,13 +7,12 @@
 // integer arithmetic.  The symbolic core (symbolic/expr.*) stores the SymId in
 // every symbol node and derives per-node symbol-set caches from it.
 //
-// Thread-safety contract: `intern_symbol` and `symbol_name` may be called
-// concurrently from any thread.  The name -> id index is sharded 16 ways by
-// the name's hash (one mutex per shard), and `symbol_name` is lock-free: it
-// reads an append-only id -> name directory of atomic pointers.  Ids are
-// dense and assigned in global first-intern order (one atomic counter);
-// names are never evicted, so a `const std::string&` returned by
-// `symbol_name()` stays valid for the lifetime of the process.
+// Thread-safety contract: `intern_symbol`, `symbol_name` and
+// `interned_symbol_count` may be called concurrently from any thread; all
+// three take one mutex over the name -> id index and the id -> name store.
+// Ids are dense and assigned in first-intern order; names are never evicted
+// or moved, so a `const std::string&` returned by `symbol_name()` stays
+// valid for the lifetime of the process (and may be read without the lock).
 #pragma once
 
 #include <cstdint>

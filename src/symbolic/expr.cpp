@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <ostream>
-#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "support/arena.hpp"
 #include "support/cancel.hpp"
 
 namespace soap::sym {
@@ -82,62 +82,76 @@ bool content_equal(const Node& a, const Node& b) {
   }
 }
 
-/// The hash-consing table, sharded by the content hash: each shard owns a
-/// reader/writer lock, its slice of the weak bucket map, and an arena that
-/// pools the node storage *and* the shared_ptr control blocks.  Read-mostly
-/// lookups (re-interning an existing canonical form) take the shared lock;
-/// only first-time insertions and evictions take the exclusive lock, so
-/// concurrent make_* calls from different threads stop serializing on one
-/// global mutex.
+/// The hash-consing table: one mutex over a weak bucket map keyed by the
+/// content hash.  Buckets hold (raw pointer, weak_ptr) pairs; the raw
+/// pointer lets a node's deleter erase exactly its own entry even if an
+/// equal-content node was re-interned while this one was dying.
 ///
 /// Entries are weak: a node is evicted by its deleter when the last Expr
-/// referencing it dies, so each shard never grows beyond the live working
-/// set (the arenas recycle the freed slots).  Buckets are keyed by the
-/// content hash and hold (raw pointer, weak_ptr) pairs; the raw pointer lets
-/// the deleter erase exactly its own entry even if an equal-content node was
-/// re-interned while this one was dying.
-struct InternShard {
-  std::shared_mutex mu;
+/// referencing it dies, so the table never grows beyond the live working
+/// set and `live` is exact.  Lock discipline: no node is ever destroyed
+/// while `mu` is held — deleters take `mu` themselves, and node destruction
+/// (which recursively releases operands) runs after they drop it.
+struct ExprInternTable {
+  std::mutex mu;
   std::unordered_map<std::size_t,
                      std::vector<std::pair<const Node*,
                                            std::weak_ptr<const Node>>>>
       buckets;
-  // Leaf lock discipline: the arena's internal mutex may be taken while
-  // holding `mu` (control-block allocation during insertion) but never the
-  // other way around, and node destruction runs with no locks held.
-  support::Arena arena;
-};
-
-constexpr std::size_t kShardBits = 6;
-constexpr std::size_t kNumShards = 1u << kShardBits;  // 64
-
-struct ExprInternTable {
-  std::atomic<std::uint64_t> next_id{1};
-  InternShard shards[kNumShards];
+  std::size_t live = 0;
+  std::uint64_t next_id = 1;
 };
 
 // Leaked on purpose: Exprs held in static storage (test fixtures, golden
 // rows) may be destroyed after any static table would be, and their deleters
 // must still find the table.  The pointer stays reachable, so LeakSanitizer
-// does not flag it (the shard arenas leak with it, equally reachable).
+// does not flag it.
 ExprInternTable& expr_table() {
   static auto* t = new ExprInternTable();
   return *t;
 }
 
-/// Shard selection uses the high hash bits; the per-shard bucket map
-/// consumes the low bits, so the two layers of hashing stay independent.
-InternShard& shard_for(std::size_t hash) {
-  return expr_table().shards[hash >> (8 * sizeof(std::size_t) - kShardBits)];
+/// Allocation fault-injection countdown (see fail_intern_after); < 0 is
+/// disarmed, so the unarmed path costs one relaxed load.
+std::atomic<long long> g_fail_countdown{-1};
+
+/// Consulted before the intern table's node and control-block allocations.
+void fault_hook() {
+  // fetch_sub makes exactly one thread observe the 1 -> 0 transition; later
+  // callers drift the counter below zero, which reads as disarmed.
+  if (g_fail_countdown.load(std::memory_order_relaxed) >= 0 &&
+      g_fail_countdown.fetch_sub(1, std::memory_order_relaxed) == 1) {
+    throw std::bad_alloc();
+  }
 }
 
+/// std::allocator behind the fault hook: interned nodes' shared_ptr control
+/// blocks are allocated through it.
+template <class T>
+struct HookedAllocator {
+  using value_type = T;
+  HookedAllocator() = default;
+  template <class U>
+  HookedAllocator(const HookedAllocator<U>&) {}  // NOLINT(implicit)
+  T* allocate(std::size_t n) {
+    fault_hook();
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>().deallocate(p, n);
+  }
+  friend bool operator==(const HookedAllocator&, const HookedAllocator&) {
+    return true;
+  }
+};
+
 /// Set by intern_node around the owning shared_ptr's construction, which
-/// runs under the shard's exclusive lock.  If control-block allocation
-/// throws, the shared_ptr constructor is required to invoke the deleter on
-/// the brand-new node — a node that was never published to any bucket and
-/// whose shard lock is still held by this thread.  The deleter detects that
+/// runs under the table lock.  If control-block allocation throws, the
+/// shared_ptr constructor is required to invoke the deleter on the
+/// brand-new node — a node that was never published to any bucket and
+/// whose table lock is still held by this thread.  The deleter detects that
 /// exact node here and parks it (intern_node finishes the teardown outside
-/// the lock) instead of deadlocking on the shard mutex or destroying
+/// the lock) instead of deadlocking on the table mutex or destroying
 /// operands under it.
 thread_local const Node* t_interning = nullptr;
 
@@ -147,27 +161,24 @@ struct NodeDeleter {
       t_interning = nullptr;
       return;
     }
-    const std::size_t hash = n->hash;  // survives ~Node below
-    InternShard& sh = shard_for(hash);
+    ExprInternTable& t = expr_table();
     {
-      std::unique_lock<std::shared_mutex> lock(sh.mu);
-      auto it = sh.buckets.find(hash);
-      if (it != sh.buckets.end()) {
+      std::lock_guard<std::mutex> lock(t.mu);
+      auto it = t.buckets.find(n->hash);
+      if (it != t.buckets.end()) {
         auto& vec = it->second;
         for (auto vit = vec.begin(); vit != vec.end(); ++vit) {
           if (vit->first == n) {
             vec.erase(vit);
+            --t.live;
             break;
           }
         }
-        if (vec.empty()) sh.buckets.erase(it);
+        if (vec.empty()) t.buckets.erase(it);
       }
     }
-    // Outside the lock: destroying operands may recursively run deleters
-    // (each taking its own shard lock, never nested under ours).
-    auto* m = const_cast<Node*>(n);
-    m->~Node();
-    sh.arena.deallocate(m, sizeof(Node), alignof(Node));
+    // Outside the lock: destroying operands may recursively run deleters.
+    delete n;
   }
 };
 
@@ -207,77 +218,49 @@ constexpr std::uint32_t kMemoThreshold = 64;
 
 NodePtr intern_node(Node&& n) {
   n.hash = content_hash(n);
-  InternShard& sh = shard_for(n.hash);
-  // Wide composites are almost always freshly canonicalized intermediates
-  // (each step of an incremental sum/product fold makes a new one), so the
-  // read-locked probe would miss and the work would repeat under the
-  // exclusive lock.  Skip straight to the exclusive probe-and-insert for
-  // them; the read-mostly hit traffic — constants, symbols, powers, small
-  // composites — keeps the concurrent shared-lock fast path.
-  const bool likely_fresh = n.operands.size() > 4;
-  if (!likely_fresh) {
-    // Read-mostly fast path: re-interning an existing canonical form only
-    // takes the shared lock.
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    auto it = sh.buckets.find(n.hash);
-    if (it != sh.buckets.end()) {
-      for (const auto& [raw, weak] : it->second) {
-        if (content_equal(*raw, n)) {
-          if (NodePtr sp = weak.lock()) return sp;
-          // Expired: the equal node is mid-destruction; insert a fresh copy
-          // below (its deleter erases by pointer, so the entries can't mix).
-        }
-      }
-    }
-  }
-  // Probe missed: this node will (almost certainly) be interned, so build
-  // its symbol cache now, outside any lock.  Hit-path interns — the common
-  // case in steady-state analysis — never pay for it.
-  fill_symbol_cache(&n);
-  std::unique_lock<std::shared_mutex> lock(sh.mu);
-  auto& vec = sh.buckets[n.hash];
-  // Re-scan under the exclusive lock: another thread may have inserted the
-  // same canonical form between the two lock scopes.
+  ExprInternTable& t = expr_table();
+  std::unique_lock<std::mutex> lock(t.mu);
+  auto& vec = t.buckets[n.hash];
   for (const auto& [raw, weak] : vec) {
     if (content_equal(*raw, n)) {
       if (NodePtr sp = weak.lock()) return sp;
+      // Expired: the equal node is mid-destruction; insert a fresh copy
+      // below (its deleter erases by pointer, so the entries can't mix).
     }
   }
-  n.id = expr_table().next_id.fetch_add(1, std::memory_order_relaxed);
-  void* slot = nullptr;
+  const Node* p = nullptr;
   try {
     // Reserving the bucket slot up front makes the publish step below
     // nofail: once the shared_ptr owns the node, nothing on this path can
     // throw while we still hold the lock its deleter would need.
     vec.reserve(vec.size() + 1);
-    slot = sh.arena.allocate(sizeof(Node), alignof(Node));
+    // Miss: only nodes that are actually interned pay for the symbol cache.
+    fill_symbol_cache(&n);
+    n.id = t.next_id++;
+    fault_hook();
+    p = new Node(std::move(n));
   } catch (...) {
-    if (vec.empty()) sh.buckets.erase(n.hash);
+    if (vec.empty()) t.buckets.erase(n.hash);
     throw;  // out of memory before the node existed; table unchanged
   }
-  const Node* p = new (slot) Node(std::move(n));
   NodePtr sp;
   t_interning = p;
   try {
-    // The control block is pooled in the same shard arena (leaf lock, see
-    // InternShard); the custom deleter runs the eviction protocol above.
-    sp = NodePtr(p, NodeDeleter{},
-                 support::ArenaAllocator<const Node>(&sh.arena));
+    sp = NodePtr(p, NodeDeleter{}, HookedAllocator<const Node>());
   } catch (...) {
     // Control-block allocation failed.  The shared_ptr constructor already
     // invoked the deleter, which parked the never-published node (see
     // t_interning above); finish its teardown outside the lock, where
-    // operand destruction may recurse into other shards.
+    // operand destruction may run other nodes' deleters.
     t_interning = nullptr;
-    if (vec.empty()) sh.buckets.erase(n.hash);
+    if (vec.empty()) t.buckets.erase(p->hash);
     lock.unlock();
-    auto* m = const_cast<Node*>(p);
-    m->~Node();
-    sh.arena.deallocate(m, sizeof(Node), alignof(Node));
+    delete p;
     throw;
   }
   t_interning = nullptr;
   vec.emplace_back(p, std::weak_ptr<const Node>(sp));
+  ++t.live;
   return sp;
 }
 
@@ -1278,18 +1261,17 @@ bool numerically_equal(const Expr& a, const Expr& b, double tol) {
 
 InternStats expr_intern_stats() {
   ExprInternTable& t = expr_table();
+  std::lock_guard<std::mutex> lock(t.mu);
   InternStats stats;
-  stats.shards = kNumShards;
-  for (InternShard& sh : t.shards) {
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    for (const auto& [hash, vec] : sh.buckets) stats.live_nodes += vec.size();
-    support::Arena::Stats as = sh.arena.stats();
-    stats.arena_blocks += as.blocks;
-    stats.arena_bytes += as.bytes_reserved;
-  }
-  stats.total_interned =
-      t.next_id.load(std::memory_order_relaxed) - 1;
+  stats.live_nodes = t.live;
+  stats.total_interned = t.next_id - 1;
+  stats.arena_bytes = t.live * sizeof(Node);
   return stats;
+}
+
+void fail_intern_after(std::size_t count) noexcept {
+  g_fail_countdown.store(count == 0 ? -1 : static_cast<long long>(count),
+                         std::memory_order_relaxed);
 }
 
 namespace {

@@ -20,10 +20,10 @@
 //     happens at construction time, so two structurally equal results of
 //     different derivations compare equal (used heavily by the golden tests
 //     against Table 2).
-//   * Nodes are *hash-consed*: a sharded, thread-safe intern table (64
-//     buckets of the cached node hash, each with its own reader/writer lock
-//     and arena-backed node pool — see expr.cpp and docs/ARCHITECTURE.md)
-//     guarantees that structurally equal nodes are the same Node object.
+//   * Nodes are *hash-consed*: a thread-safe intern table (one mutex over
+//     weak buckets keyed by the cached node hash — see expr.cpp and
+//     docs/ARCHITECTURE.md) guarantees that structurally equal nodes are the
+//     same Node object.
 //     operator== is therefore pointer identity, hash() is an O(1) cached
 //     value, and every node carries a cached set of the symbols occurring
 //     beneath it, so contains()/symbols() never walk the tree.  Symbol names
@@ -37,11 +37,11 @@
 //     identity per top-level call; heavily shared (DAG-shaped) expressions
 //     are rewritten in time proportional to the number of *distinct* nodes.
 //   * Thread-safety contract: constructing, copying, comparing, and rewriting
-//     expressions is safe from multiple threads (the intern shards are
-//     individually locked — concurrent make_* calls on different shards do
-//     not contend at all; nodes are immutable after interning).  Individual
-//     Expr values are not synchronized — don't mutate one Expr variable from
-//     two threads.
+//     expressions is safe from multiple threads (interning and eviction take
+//     the table mutex for one probe-or-insert; nodes are immutable after
+//     interning, so everything else runs lock-free).  Individual Expr values
+//     are not synchronized — don't mutate one Expr variable from two
+//     threads.
 #pragma once
 
 #include <cstdint>
@@ -248,13 +248,21 @@ bool numerically_equal(const Expr& a, const Expr& b, double tol = 1e-7);
 
 /// Diagnostics for the hash-consing intern table (tests, leak checks).
 struct InternStats {
-  std::size_t live_nodes = 0;   ///< nodes currently interned (all shards)
+  std::size_t live_nodes = 0;        ///< nodes currently interned
   std::uint64_t total_interned = 0;  ///< ids handed out since process start
-  std::size_t shards = 0;       ///< intern-table shard count
-  std::size_t arena_blocks = 0;      ///< bump blocks owned by shard arenas
-  std::size_t arena_bytes = 0;  ///< bytes reserved in those blocks
+  /// Live node storage, live_nodes * sizeof(Node) (operand and symbol lists
+  /// that spill out of their inline storage are not counted).  The name is
+  /// kept from the block-arena era for existing readers.
+  std::size_t arena_bytes = 0;
 };
 InternStats expr_intern_stats();
+
+/// Fault-injection hook for the intern table's allocations (node storage
+/// and shared_ptr control block): after `count - 1` more successful
+/// allocations, process-wide, one throws std::bad_alloc and the hook
+/// disarms — count == 1 fails the very next allocation; count == 0
+/// disarms.  Thread-safe; exactly one caller observes the failure.
+void fail_intern_after(std::size_t count) noexcept;
 
 }  // namespace soap::sym
 

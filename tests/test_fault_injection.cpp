@@ -1,5 +1,5 @@
 // The deterministic fault-injection harness (support/fault_executor.*) and
-// the arena allocation-failure hook: seeded fault decisions replay
+// the intern table's allocation-failure hook (sym::fail_intern_after): seeded fault decisions replay
 // identically, the structured-parallel layers stay correct and bit-identical
 // under delays/drops/reorders, and an injected allocation failure inside the
 // intern path unwinds cleanly.  Labeled `parallel` so the TSan CI job runs
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/arena.hpp"
 #include "support/parallel.hpp"
 #include "support/pipeline.hpp"
 #include "support/thread_pool.hpp"
@@ -202,22 +201,27 @@ TEST(FaultInjection, ErrorRankingSurvivesInjectedDelays) {
   }
 }
 
-// --- arena allocation-failure hook ---
+// --- intern allocation-failure hook ---
 
-TEST(ArenaFaultHook, InternFailureUnwindsCleanlyAndRetrySucceeds) {
-  const std::size_t before = sym::expr_intern_stats().live_nodes;
-  Arena::fail_after(1);
-  EXPECT_THROW(sym::Expr::symbol("arena_fault_probe"), std::bad_alloc);
-  Arena::clear_failure_hook();
-  // The failed intern left no node behind...
-  EXPECT_EQ(sym::expr_intern_stats().live_nodes, before);
-  // ...and the table is fully functional afterwards.
-  sym::Expr e = sym::Expr::symbol("arena_fault_probe") + sym::Expr(1);
-  EXPECT_GT(sym::expr_intern_stats().live_nodes, before);
-  EXPECT_NE(e.str().find("arena_fault_probe"), std::string::npos);
+TEST(InternFaultHook, InternFailureUnwindsCleanlyAndRetrySucceeds) {
+  // A fresh symbol node makes two hooked allocations: the node (count 1)
+  // and its shared_ptr control block (count 2, the parked-node path).
+  for (std::size_t count : {std::size_t{1}, std::size_t{2}}) {
+    const std::string name = "intern_fault_probe_" + std::to_string(count);
+    const std::size_t before = sym::expr_intern_stats().live_nodes;
+    sym::fail_intern_after(count);
+    EXPECT_THROW(sym::Expr::symbol(name), std::bad_alloc) << count;
+    sym::fail_intern_after(0);
+    // The failed intern left no node behind...
+    EXPECT_EQ(sym::expr_intern_stats().live_nodes, before) << count;
+    // ...and the table is fully functional afterwards.
+    sym::Expr e = sym::Expr::symbol(name) + sym::Expr(1);
+    EXPECT_GT(sym::expr_intern_stats().live_nodes, before) << count;
+    EXPECT_NE(e.str().find(name), std::string::npos) << count;
+  }
 }
 
-TEST(ArenaFaultHook, FailuresUnderConcurrentInterningStayConsistent) {
+TEST(InternFaultHook, FailuresUnderConcurrentInterningStayConsistent) {
   // Arm a stream of failures while many threads intern distinct expressions;
   // whichever thread absorbs a bad_alloc must leave the shared table intact.
   ThreadPool pool(4);
@@ -226,7 +230,7 @@ TEST(ArenaFaultHook, FailuresUnderConcurrentInterningStayConsistent) {
   opt.executor = ExecutorRef(pool);
   std::atomic<int> failures{0};
   for (int round = 0; round < 8; ++round) {
-    Arena::fail_after(5);
+    sym::fail_intern_after(5);
     parallel_for(64, opt, [&](std::size_t i) {
       try {
         sym::Expr e = sym::Expr::symbol("conc_fault_" +
@@ -237,7 +241,7 @@ TEST(ArenaFaultHook, FailuresUnderConcurrentInterningStayConsistent) {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
     });
-    Arena::clear_failure_hook();
+    sym::fail_intern_after(0);
   }
   // The interner still works after every round of injected failures.
   sym::Expr check = sym::Expr::symbol("conc_fault_0") * sym::Expr(2);

@@ -93,11 +93,10 @@ TEST(HashConsing, DeadNodesAreEvicted) {
 }
 
 TEST(HashConsing, ConcurrentMakeConvergesToSameNode) {
-  // Many threads race make_* on structurally equal expressions; the sharded
-  // intern table must hand every thread the very same canonical node (the
-  // pointer-identity invariant everything above relies on), shard locks or
-  // not.  Each round uses fresh structure so at least one thread loses the
-  // probe-then-insert race every time.
+  // Many threads race make_* on structurally equal expressions; the intern
+  // table must hand every thread the very same canonical node (the
+  // pointer-identity invariant everything above relies on).  Each round
+  // uses fresh structure so threads contend on the same probe-or-insert.
   constexpr int kThreads = 8;
   constexpr int kRounds = 100;
   std::vector<std::vector<Expr>> built(kThreads);
@@ -134,7 +133,7 @@ TEST(HashConsing, ConcurrentMakeConvergesToSameNode) {
 
 TEST(HashConsing, ConcurrentDisjointInterningIsConsistent) {
   // Per-thread expression families (disjoint symbols -> mostly disjoint
-  // shards) interned concurrently; each must match a serial rebuild.
+  // buckets) interned concurrently; each must match a serial rebuild.
   constexpr int kThreads = 8;
   std::vector<Expr> results(kThreads);
   std::vector<std::thread> threads;
@@ -162,9 +161,9 @@ TEST(HashConsing, ConcurrentDisjointInterningIsConsistent) {
 }
 
 TEST(HashConsing, EvictionRaceUnderChurn) {
-  // The lifetime contract under the arena: weak eviction, where the node
-  // deleter re-locks the owning shard to erase its table entry and then
-  // returns the slot to the shard arena.  Race creation and destruction of
+  // The lifetime contract: weak eviction, where the node deleter re-locks
+  // the table to erase its entry and then frees the node outside the
+  // lock.  Race creation and destruction of
   // *structurally equal* temporaries across threads so deleters interleave
   // with probes that find the dying entry (the weak_ptr::lock-fails path),
   // then check the table drains back to its pre-test size.
@@ -186,7 +185,7 @@ TEST(HashConsing, EvictionRaceUnderChurn) {
                  pow(Expr::symbol("hc_churn2"), Rational(r % 5 + 2));
         Expr f = e * e + Expr(1);
         testing::sink(f);
-        // e and f drop here; their deleters erase the shard entries while
+        // e and f drop here; their deleters erase the table entries while
         // sibling threads may be interning the same structural nodes.
       }
     });

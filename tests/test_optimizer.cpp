@@ -324,6 +324,35 @@ TEST(OptimizerBackend, EvalBudgetSurfacesStopReachedWithoutThrowing) {
   }
 }
 
+TEST(OptimizerBackend, EvaluationsAreCountedPerSolveWithoutStopCriteria) {
+  // derive_chi's default setup: one guard without StopCriteria, shared by
+  // the derivation's solves (the per-derivation budget reads its ticks).
+  // Every solve still counts, and reports only its own evaluations.
+  OptimizationProblem p = gemm_problem();
+  for (opt::BackendKind kind :
+       {opt::BackendKind::kNelderMead, opt::BackendKind::kMultistart,
+        opt::BackendKind::kSubplex}) {
+    const opt::OptimizerBackend& be = opt::backend(kind);
+    opt::EvalGuard shared;
+    opt::SolveRequest lo;
+    lo.X = 1e4;
+    lo.guard = &shared;
+    opt::SolveRequest hi = lo;
+    hi.X = 1e6;
+    const opt::SolveResult first = be.solve(p, lo);
+    const opt::SolveResult second = be.solve(p, hi);
+    EXPECT_GT(first.evaluations, 0u) << opt::backend_name(kind);
+    EXPECT_GT(second.evaluations, 0u) << opt::backend_name(kind);
+    EXPECT_EQ(shared.ticks, first.evaluations + second.evaluations)
+        << opt::backend_name(kind);
+    // Independent counts: the second solve reports what it performs alone.
+    opt::SolveRequest alone = hi;
+    alone.guard = nullptr;
+    EXPECT_EQ(second.evaluations, be.solve(p, alone).evaluations)
+        << opt::backend_name(kind);
+  }
+}
+
 TEST(DeriveChi, RecordsHealthySolveCode) {
   auto chi = derive_chi(gemm_problem());
   ASSERT_TRUE(chi);

@@ -1,11 +1,10 @@
-// Cross-thread-count and cross-schedule determinism of the SDG analysis:
-// for every Table 2 corpus application the full MultiStatementBound — Q
-// renderings, per-array rho expressions and reference values (compared
-// bit-exactly), best subgraphs, and subgraph counts — must be identical
-// for threads = 1 / 2 / 8 / 0(hardware), AND identical between the staged
-// pipeline (default) and the level-synchronous reference schedule it
-// replaced.  Expr comparisons use operator==, which under hash-consing is
-// pointer identity: the strongest possible "bit-identical" statement
+// Cross-thread-count determinism of the SDG analysis: for every Table 2
+// corpus application the full MultiStatementBound — Q renderings, per-array
+// rho expressions and reference values (compared bit-exactly), best
+// subgraphs, and subgraph counts — must be identical for threads = 2 / 8 /
+// 0(hardware) and the serial oracle (threads = 1, the pipeline's pool-free
+// inline path).  Expr comparisons use operator==, which under hash-consing
+// is pointer identity: the strongest possible "bit-identical" statement
 // within a run.  Labeled `parallel` for the TSan CI job.
 #include <gtest/gtest.h>
 
@@ -50,7 +49,7 @@ std::vector<std::string> corpus_names() {
             "flash_attention", "spmv_csr"};
   }
   // The whole registered corpus — every family, including the post-paper
-  // ones, sweeps threads = 1/2/8 and pipelined-vs-level-sync.
+  // ones, sweeps threads = 1/2/8/0.
   std::vector<std::string> names;
   for (const auto& k : kernels::Registry::instance().kernels()) {
     names.push_back(k.name);
@@ -71,10 +70,8 @@ struct Snapshot {
 };
 
 Snapshot snapshot(const Program& program, SdgOptions options,
-                  std::size_t threads,
-                  SdgSchedule schedule = SdgSchedule::kPipelined) {
+                  std::size_t threads) {
   options.threads = threads;
-  options.schedule = schedule;
   auto bound = multi_statement_bound(program, options);
   Snapshot s;
   if (!bound) return s;
@@ -114,30 +111,17 @@ void expect_identical(const Snapshot& a, const Snapshot& b,
 class CorpusDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CorpusDeterminism, BitIdenticalAcrossThreadCounts) {
+  // The serial run (threads = 1: the pipeline's stages inline, no pool) is
+  // the oracle; every parallel worker count, including all hardware
+  // threads, must reproduce it bit for bit.
   const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
   Program program = k.build();
   Snapshot serial = snapshot(program, k.options, 1);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+  for (std::size_t threads :
+       {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
     Snapshot parallel = snapshot(program, k.options, threads);
     expect_identical(serial, parallel,
                      k.name + " @" + std::to_string(threads) + " threads");
-  }
-}
-
-TEST_P(CorpusDeterminism, PipelinedMatchesLevelSyncAtEveryThreadCount) {
-  // The acceptance bar of the pipeline refactor: the staged pipeline must
-  // reproduce the level-synchronous schedule's MultiStatementBound bit for
-  // bit at every thread count (pointer-identical Exprs, bit-exact doubles).
-  const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
-  Program program = k.build();
-  Snapshot oracle = snapshot(program, k.options, 1, SdgSchedule::kLevelSync);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                              std::size_t{0}}) {
-    Snapshot pipelined =
-        snapshot(program, k.options, threads, SdgSchedule::kPipelined);
-    expect_identical(oracle, pipelined,
-                     k.name + " pipelined @" + std::to_string(threads) +
-                         " threads vs level-sync");
   }
 }
 
