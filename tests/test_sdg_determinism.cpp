@@ -1,11 +1,11 @@
 // Cross-thread-count determinism of the SDG analysis: for every Table 2
 // corpus application the full MultiStatementBound — Q renderings, per-array
 // rho expressions and reference values (compared bit-exactly), best
-// subgraphs, and subgraph counts — must be identical for threads = 2 / 8 /
-// 0(hardware) and the serial oracle (threads = 1, the pipeline's pool-free
-// inline path).  Expr comparisons use operator==, which under hash-consing
-// is pointer identity: the strongest possible "bit-identical" statement
-// within a run.  Labeled `parallel` for the TSan CI job.
+// subgraphs, and subgraph counts — must be identical for threads = 1 / 2 /
+// 8 / 0(hardware).  The serial run (threads = 1, the pipeline's pool-free
+// inline path) is the oracle.  Expr comparisons use operator==, which under
+// hash-consing is pointer identity: the strongest possible "bit-identical"
+// statement within a run.  Labeled `parallel` for the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -111,17 +111,32 @@ void expect_identical(const Snapshot& a, const Snapshot& b,
 class CorpusDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CorpusDeterminism, BitIdenticalAcrossThreadCounts) {
-  // The serial run (threads = 1: the pipeline's stages inline, no pool) is
-  // the oracle; every parallel worker count, including all hardware
-  // threads, must reproduce it bit for bit.
   const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
   Program program = k.build();
   Snapshot serial = snapshot(program, k.options, 1);
-  for (std::size_t threads :
-       {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     Snapshot parallel = snapshot(program, k.options, threads);
     expect_identical(serial, parallel,
                      k.name + " @" + std::to_string(threads) + " threads");
+  }
+}
+
+TEST_P(CorpusDeterminism, PipelinedMatchesLevelSyncAtEveryThreadCount) {
+  // The acceptance bar of the pipeline refactor, kept after the
+  // level-synchronous schedule was removed: its role as the reference is
+  // taken by the serial run (threads = 1, the pipeline's stages inline
+  // without a pool).  A fresh serial run and every parallel worker count,
+  // including all hardware threads, must reproduce that oracle bit for bit
+  // (pointer-identical Exprs, bit-exact doubles).
+  const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
+  Program program = k.build();
+  Snapshot oracle = snapshot(program, k.options, 1);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8},
+                              std::size_t{0}}) {
+    Snapshot pipelined = snapshot(program, k.options, threads);
+    expect_identical(oracle, pipelined,
+                     k.name + " pipelined @" + std::to_string(threads) +
+                         " threads vs serial oracle");
   }
 }
 
