@@ -31,8 +31,8 @@ inline void print_row(const kernels::KernelEntry& k, const sym::Expr& ours) {
 
 /// Analyzes one registry family as a batch of (kernel x subgraph-shard)
 /// work items (`threads` executors; default 1 = serial): kernels are
-/// claimed concurrently and each kernel's inner analysis pipeline shards
-/// its subgraphs across the same executor, so the family's longest
+/// claimed concurrently and each kernel's inner analysis shards its
+/// subgraphs across the same executor, so the family's longest
 /// kernel no longer serializes the tail.  The bounds land in per-kernel
 /// slots and the table is printed afterwards in registry order, so the
 /// output is byte-identical for every thread count.  Returns non-zero for

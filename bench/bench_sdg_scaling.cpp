@@ -1,6 +1,6 @@
 // Experiment V-scale: analysis cost vs program size (the paper reports its
-// approach scales to ~35 statements), plus the thread sweeps of the staged
-// SDG analysis pipeline and the sharded pebble-game validation path.
+// approach scales to ~35 statements), plus the thread sweeps of the
+// parallel SDG analysis and the sharded pebble-game validation path.
 // google-benchmark over synthetic statement chains, the Table 2 corpus
 // batch, and a batch of pebbling validation cases.
 #include <benchmark/benchmark.h>
@@ -104,7 +104,7 @@ for i in range(N):
   soap::pebbles::Cdag cdag = soap::pebbles::instantiate(p, {{"N", 6}});
   std::vector<soap::pebbles::PebbleCase> cases;
   for (std::size_t S = 4; S <= 40; S += 2) cases.push_back({&cdag, S});
-  soap::pebbles::ShardOptions shard;
+  soap::support::ParallelOptions shard;
   shard.threads = static_cast<std::size_t>(state.range(0));
   std::size_t consistent = 0;
   for (auto _ : state) {

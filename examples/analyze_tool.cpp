@@ -6,9 +6,9 @@
 //                                        # stdin
 //   soap_analyze --sdg [file]            # also dump the SDG in Graphviz
 //                                        # format
-//   soap_analyze --threads N ...         # shard the subgraph analysis
-//                                        # pipeline across N workers (0 =
-//                                        # all hardware threads); the
+//   soap_analyze --threads N ...         # shard the per-subgraph analysis
+//                                        # across N workers (0 = all
+//                                        # hardware threads); the
 //                                        # derived bound is identical for
 //                                        # every thread count
 //   soap_analyze --max-subgraph-size N   # largest subgraph cardinality

@@ -53,8 +53,7 @@ std::vector<sym::Expr> analyze_corpus(
   par.threads = threads;
   par.executor = executor;
   // Kernels are claimed concurrently, and each kernel's inner analysis
-  // pipeline shards its subgraphs across the same executor with the same
-  // budget.  While many kernels are in flight the executor is saturated
+  // shards its subgraphs across the same executor with the same budget.  While many kernels are in flight the executor is saturated
   // either way; once only a long kernel remains, its subgraph shards fan
   // out over the now-idle workers.  Caller participation at both levels
   // means a starved executor degrades to serial instead of deadlocking,

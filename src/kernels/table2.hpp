@@ -62,8 +62,8 @@ sym::Expr analyze_kernel(const KernelEntry& entry, std::size_t threads,
 
 /// Analyzes the whole registered corpus (every family, registry order) as
 /// one batch of (kernel x subgraph-shard) work items: kernels are claimed
-/// concurrently AND each kernel's own analysis pipeline shards its
-/// subgraphs across the same executor, so a long-tail kernel
+/// concurrently AND each kernel's own analysis shards its subgraphs
+/// (parallel_map over the enumerated list) across the same executor, so a long-tail kernel
 /// (bert_encoder) spreads over every idle worker instead of serializing
 /// the batch the way kernel-granularity sharding did.  Slot i holds the
 /// bound of Registry::instance().kernels()[i]; the result is bit-identical

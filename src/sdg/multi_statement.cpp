@@ -8,7 +8,7 @@
 
 #include "bounds/intensity.hpp"
 #include "sdg/subgraph.hpp"
-#include "support/pipeline.hpp"
+#include "support/parallel.hpp"
 #include "support/sym_map.hpp"
 #include "symbolic/leading.hpp"
 
@@ -106,15 +106,29 @@ std::optional<MultiStatementBound> derive_bound(const Program& program,
                                                 const SdgOptions& options) {
   Sdg sdg = Sdg::build(program);
 
+  // Enumerate first, then analyze: a corpus kernel has at most a few dozen
+  // subgraphs, and enumerating them costs microseconds against the χ fits,
+  // so there is nothing to gain from overlapping the two.  The guard polls
+  // once per emitted subgraph, so the subgraph budget trips at an exact,
+  // deterministic emit.
+  EnumerationGuard guard(options.stop);
+  std::vector<std::vector<std::string>> subgraphs;
+  for_each_subgraph(sdg, options.max_subgraph_size, options.max_subgraphs,
+                    [&](std::vector<std::string>&& arrays) {
+                      guard.poll();
+                      subgraphs.push_back(std::move(arrays));
+                      return true;
+                    });
+
   // The per-subgraph chain merge_subgraph -> derive_chi -> minimize_intensity
-  // -> eval is independent per subgraph.  The pipeline decides only *who*
-  // analyzes a subgraph: results are reduced into `evaluated` in canonical
-  // enumeration order, so `evaluated` — and every reduction below — is
-  // identical for any thread count and executor.
-  std::vector<Evaluated> evaluated;
+  // -> eval is independent per subgraph.  parallel_map decides only *who*
+  // analyzes a subgraph: results land in per-index slots and are reduced in
+  // canonical enumeration order, so `evaluated` — and every reduction below
+  // — is identical for any thread count and executor.  threads = 1 runs the
+  // loop inline without the pool; it is the determinism suite's oracle.
   RhoValueCache rho_cache;
-  auto analyze_one =
-      [&](std::vector<std::string>&& arrays) -> std::optional<Evaluated> {
+  auto analyze_one = [&](std::size_t i) -> std::optional<Evaluated> {
+    std::vector<std::string>& arrays = subgraphs[i];
     MergedSubgraph merged = merge_subgraph(sdg, arrays);
     auto chi =
         bounds::derive_chi(merged.problem, options.stop, options.optimizer);
@@ -125,31 +139,17 @@ std::optional<MultiStatementBound> derive_bound(const Program& program,
     if (!std::isfinite(value) || value <= 0) return std::nullopt;
     return Evaluated{std::move(arrays), in.rho, value};
   };
-
-  // Staged pipeline: the enumeration producer streams each subgraph into
-  // the analysis stage the moment it is generated — per-subgraph analysis
-  // overlaps with the enumeration of the next level — and the ordered sink
-  // appends results by sequence index.  threads = 1 runs the same stages
-  // inline without the pool; it is the determinism suite's oracle.
-  support::PipelineOptions pipe;
-  pipe.workers = options.threads;
-  pipe.executor = options.executor;
-  pipe.cancel = options.stop.cancel;
-  EnumerationGuard guard(options.stop);
-  support::run_pipeline<std::vector<std::string>>(
-      pipe,
-      [&](const std::function<bool(std::vector<std::string> &&)>& emit) {
-        for_each_subgraph(sdg, options.max_subgraph_size,
-                          options.max_subgraphs,
-                          [&](std::vector<std::string>&& arrays) {
-                            guard.poll();
-                            return emit(std::move(arrays));
-                          });
-      },
-      analyze_one,
-      [&](std::size_t, std::optional<Evaluated>&& slot) {
-        if (slot) evaluated.push_back(std::move(*slot));
-      });
+  support::ParallelOptions parallel;
+  parallel.threads = options.threads;
+  parallel.executor = options.executor;
+  parallel.cancel = options.stop.cancel;
+  std::vector<std::optional<Evaluated>> slots =
+      support::parallel_map<std::optional<Evaluated>>(subgraphs.size(),
+                                                      parallel, analyze_one);
+  std::vector<Evaluated> evaluated;
+  for (std::optional<Evaluated>& slot : slots) {
+    if (slot) evaluated.push_back(std::move(*slot));
+  }
 
   MultiStatementBound out;
   out.subgraphs_evaluated = evaluated.size();

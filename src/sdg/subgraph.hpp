@@ -19,8 +19,8 @@ using SubgraphSink = std::function<bool(std::vector<std::string>&&)>;
 
 /// Streaming enumeration of the connected subsets of the computed arrays:
 /// each subset is handed to `sink` the moment it is generated, so a
-/// consumer — e.g. the staged analysis pipeline — can process subgraphs
-/// while the enumeration of the next level is still in progress.  Subsets
+/// consumer can poll a budget per subset (the SDG analysis collects them,
+/// then analyzes the list with parallel_map).  Subsets
 /// are emitted in canonical order (by cardinality, then generation order
 /// within a level: level k+1 grows every level-k subset by one adjacent
 /// vertex, deduplicated); generation stops exactly at `max_count` emitted
@@ -30,7 +30,7 @@ void for_each_subgraph(const Sdg& sdg, std::size_t max_size,
 
 /// All connected subsets of the computed arrays with size <= max_size
 /// (connectivity per Sdg::adjacent, which includes shared-input adjacency),
-/// materialized in the same canonical order the streaming producer emits.
+/// materialized in the same canonical order for_each_subgraph emits.
 /// The enumeration is capped at max_count subsets (largest programs in the
 /// corpus stay far below it; the paper notes its approach scales to ~35
 /// statements).

@@ -1,15 +1,15 @@
 // Termination and degradation primitives for the analysis stack.
 //
 // Every long-running layer (subgraph enumeration, the numeric optimizer,
-// corpus/attainment sweeps, the staged pipeline) accepts a `StopCriteria`
-// and polls it at chunk boundaries.  The criteria aggregate three
+// corpus/attainment sweeps, the per-subgraph parallel_map) accepts a
+// `StopCriteria` or its cancellation token and polls it between work items.  The criteria aggregate three
 // independent stop signals:
 //
 //   * CancellationToken — external, thread-safe request to stop (a service
-//     frontend dropping a request, a test tearing a pipeline down).
+//     frontend dropping a request, a test tearing a parallel loop down).
 //   * Deadline — a wall-clock budget on the whole derivation.
 //   * ResourceBudget — caps on interned symbolic nodes (polled against the
-//     sharded table's live count via a registered gauge), enumerated
+//     intern table's live count via a registered gauge), enumerated
 //     subgraphs, and numeric-solver objective evaluations.
 //
 // A tripped criterion surfaces as a structured `AnalysisError` carrying a

@@ -19,18 +19,16 @@ namespace {
 // State shared between the calling thread and its pool helpers.  Owned by
 // shared_ptr so helpers that wake up after parallel_for returned (their work
 // already stolen by the caller) still have valid state to no-op against.
-// The fn reference is only dereferenced while holding a claimed chunk, and
-// chunks can no longer be claimed once parallel_for returns (either the
+// The fn reference is only dereferenced while holding a claimed index, and
+// indices can no longer be claimed once parallel_for returns (either the
 // cursor is exhausted or `cancelled` is set), so the reference never
 // outlives its referent observably.
 struct SharedWork {
-  SharedWork(std::size_t n_in, std::size_t grain_in,
-             const std::function<void(std::size_t)>& fn_in,
+  SharedWork(std::size_t n_in, const std::function<void(std::size_t)>& fn_in,
              CancellationToken cancel_in)
-      : n(n_in), grain(grain_in), fn(fn_in), cancel(std::move(cancel_in)) {}
+      : n(n_in), fn(fn_in), cancel(std::move(cancel_in)) {}
 
   const std::size_t n;
-  const std::size_t grain;
   const std::function<void(std::size_t)>& fn;
   const CancellationToken cancel;
 
@@ -43,7 +41,7 @@ struct SharedWork {
   std::exception_ptr error;           // guarded by mu
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
 
-  // Claims and runs chunks until the cursor is exhausted or a failure
+  // Claims and runs indices until the cursor is exhausted or a failure
   // cancels the loop.  Runs on the caller and on every started helper.
   void drain() {
     for (;;) {
@@ -55,24 +53,20 @@ struct SharedWork {
         cancelled.store(true);
         return;
       }
-      const std::size_t begin = next.fetch_add(grain);
-      if (begin >= n) return;
-      const std::size_t end = std::min(n, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        try {
-          fn(i);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            if (i < error_index) {
-              error_index = i;
-              error = std::current_exception();
-            }
+      const std::size_t i = next.fetch_add(1);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
           }
-          cancelled.store(true);
-          return;
         }
+        cancelled.store(true);
+        return;
       }
     }
   }
@@ -96,10 +90,14 @@ void helper_main(const std::shared_ptr<SharedWork>& work) {
 void parallel_for(std::size_t n, const ParallelOptions& options,
                   const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t grain = std::max<std::size_t>(1, options.grain);
-  const std::size_t threads = resolve_threads(options.threads);
-  const std::size_t chunks = (n + grain - 1) / grain;
-  if (threads <= 1 || chunks <= 1) {
+  // The caller is one executor; there is never a point in more helpers than
+  // remaining indices, nor than the executor can actually run concurrently
+  // (a SerialExecutor therefore yields zero helpers and the caller runs
+  // every index itself).
+  const std::size_t budget = std::min(resolve_threads(options.threads), n);
+  const std::size_t helpers =
+      budget <= 1 ? 0 : std::min(budget - 1, options.executor.concurrency());
+  if (helpers == 0) {
     // Serial bypass: no executor, no shared state, native exception flow.
     for (std::size_t i = 0; i < n; ++i) {
       if (options.cancel.cancelled()) {
@@ -110,24 +108,7 @@ void parallel_for(std::size_t n, const ParallelOptions& options,
     }
     return;
   }
-
-  // The caller is one executor; there is never a point in more helpers than
-  // remaining chunks, nor than the executor can actually run concurrently
-  // (a SerialExecutor therefore yields zero helpers and the caller drains
-  // every chunk itself).
-  const std::size_t helpers = std::min(
-      std::min(threads, chunks) - 1, options.executor.concurrency());
-  if (helpers == 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (options.cancel.cancelled()) {
-        throw AnalysisError(StatusCode::kCancelled,
-                            "parallel_for cancelled");
-      }
-      fn(i);
-    }
-    return;
-  }
-  auto work = std::make_shared<SharedWork>(n, grain, fn, options.cancel);
+  auto work = std::make_shared<SharedWork>(n, fn, options.cancel);
   for (std::size_t h = 0; h < helpers; ++h) {
     options.executor.submit([work] { helper_main(work); });
   }

@@ -2,7 +2,10 @@
 //
 // `parallel_for(n, opts, fn)` runs fn(0..n-1) with up to opts.threads
 // executors (the calling thread plus helpers submitted to the pool), claiming
-// indices in `grain`-sized chunks from an atomic cursor.
+// one index at a time from an atomic cursor.  It is the one parallel engine
+// of the analysis: the per-subgraph χ fits of the SDG analysis, the corpus
+// and attainment sweeps, and the sharded pebble-game validation all run on
+// it.
 //
 // Design points, in the order they matter to callers:
 //
@@ -12,21 +15,22 @@
 //   identical — bit for bit — for every thread count, pool size, and
 //   interleaving.
 //
-// * Serial fallback.  threads <= 1 (the default), n == 0/1, or a single
-//   chunk runs the loop inline on the calling thread without touching the
-//   pool: no allocation, no synchronization, exceptions propagate natively.
-//   `SdgOptions::threads = 1` therefore costs nothing over the pre-parallel
-//   code.
+// * Serial fallback.  threads <= 1 (the default), n <= 1, or an executor
+//   with concurrency() == 0 runs the loop inline on the calling thread
+//   without touching the pool: no allocation, no synchronization,
+//   exceptions propagate natively.  `SdgOptions::threads = 1` therefore
+//   costs nothing over the pre-parallel code.
 //
-// * Nested use never deadlocks.  The calling thread participates in the
-//   loop and only ever waits for helpers that are *actively executing* fn —
-//   never for tasks still sitting in the pool queue.  A parallel_for issued
-//   from inside a pool task therefore completes even on a 1-worker pool: the
-//   caller drains every chunk itself and the queued helpers later wake up to
-//   an empty cursor and return.  (Helpers keep the shared state alive via
+// * Progress never depends on the executor; nested use never deadlocks.
+//   The calling thread participates in the loop and only ever waits for
+//   helpers that are *actively executing* fn — never for tasks still sitting
+//   in the pool queue.  A parallel_for issued from inside a pool task, on a
+//   starved pool, or through an executor that drops every helper therefore
+//   completes: the caller drains every index itself, and the queued helpers
+//   later wake up to an empty cursor and return.  (Helpers keep the shared state alive via
 //   shared_ptr, so a late no-op helper is harmless.)
 //
-// * Exceptions.  The first failure cancels further chunk claims; among the
+// * Exceptions.  The first failure cancels further index claims; among the
 //   failures that did run, the one with the smallest index wins and is
 //   rethrown on the calling thread after all active helpers have retired.
 #pragma once
@@ -47,15 +51,12 @@ struct ParallelOptions {
   /// Executor budget for the loop, counting the calling thread: 1 = serial
   /// inline (default), 0 = hardware_threads(), N = up to N.
   std::size_t threads = 1;
-  /// Indices claimed per cursor fetch; raise it when fn is tiny so the
-  /// atomic traffic amortizes.  Clamped to at least 1.
-  std::size_t grain = 1;
   /// Where helper tasks run; default = ThreadPool::global().  Helper
   /// fan-out is additionally capped by executor.concurrency(), so injecting
   /// ExecutorRef::serial() forces the whole loop onto the calling thread
   /// regardless of `threads`.
   ExecutorRef executor;
-  /// External cooperative cancellation, polled between indices/chunks.  A
+  /// External cooperative cancellation, polled between indices.  A
   /// tripped token stops further claims and parallel_for raises
   /// AnalysisError{kCancelled} — unless an earlier fn failure outranks it
   /// (lowest index first, same rule as exceptions).  Default: never

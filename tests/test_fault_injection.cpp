@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "support/parallel.hpp"
-#include "support/pipeline.hpp"
 #include "support/thread_pool.hpp"
 #include "symbolic/expr.hpp"
 
@@ -103,28 +102,19 @@ TEST(FaultInjectingExecutor, DestructorFlushesHeldSubmissions) {
 
 // --- structured layers stay correct under faults ---
 
-std::vector<std::pair<std::size_t, std::size_t>> pipeline_squares(
-    std::size_t n, std::size_t workers, Executor* executor) {
-  PipelineOptions opt;
-  opt.workers = workers;
+// The SDG analysis shape: index-slotted parallel_map results, reduced in
+// index order afterwards.
+std::vector<std::size_t> mapped_squares(std::size_t n, std::size_t threads,
+                                        Executor* executor) {
+  ParallelOptions opt;
+  opt.threads = threads;
   if (executor != nullptr) opt.executor = ExecutorRef(*executor);
-  std::vector<std::pair<std::size_t, std::size_t>> consumed;
-  run_pipeline<std::size_t>(
-      opt,
-      [n](const std::function<bool(std::size_t&&)>& emit) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!emit(std::size_t(i))) return;
-        }
-      },
-      [](std::size_t&& i) { return i * i; },
-      [&](std::size_t seq, std::size_t&& value) {
-        consumed.emplace_back(seq, value);
-      });
-  return consumed;
+  return parallel_map<std::size_t>(n, opt,
+                                   [](std::size_t i) { return i * i; });
 }
 
 TEST(FaultInjection, PipelineIsBitIdenticalUnderDelayDropAndReorder) {
-  const auto reference = pipeline_squares(400, 1, nullptr);
+  const auto reference = mapped_squares(400, 1, nullptr);
   ThreadPool pool(4);
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     FaultPlan plan;
@@ -134,22 +124,22 @@ TEST(FaultInjection, PipelineIsBitIdenticalUnderDelayDropAndReorder) {
     plan.drop_permille = 200;
     plan.reorder_window = 4;
     FaultInjectingExecutor exec(pool, plan);
-    EXPECT_EQ(pipeline_squares(400, 4, &exec), reference)
+    EXPECT_EQ(mapped_squares(400, 4, &exec), reference)
         << "seed " << seed;
   }
 }
 
 TEST(FaultInjection, PipelineCompletesWhenEveryHelperIsDropped) {
-  // drop_permille = 1000: no helper ever runs; the caller must drain the
-  // whole pipeline itself (the progress-never-depends-on-the-executor
-  // contract).  A violation shows up as the CTest timeout.
+  // drop_permille = 1000: no helper ever runs; the caller must run every
+  // index itself (the progress-never-depends-on-the-executor contract the
+  // SDG analysis relies on).  A violation shows up as the CTest timeout.
   ThreadPool pool(4);
   FaultPlan plan;
   plan.seed = 9;
   plan.drop_permille = 1000;
   FaultInjectingExecutor exec(pool, plan);
-  const auto result = pipeline_squares(300, 4, &exec);
-  EXPECT_EQ(result, pipeline_squares(300, 1, nullptr));
+  const auto result = mapped_squares(300, 4, &exec);
+  EXPECT_EQ(result, mapped_squares(300, 1, nullptr));
   EXPECT_EQ(exec.stats().dropped, exec.stats().submitted);
 }
 

@@ -176,7 +176,6 @@ TEST(OptimizerDifferential, FuzzedProblemsAgreeAcrossBackends) {
   const std::size_t n = kSanitized ? 150 : 1000;
   support::ParallelOptions popts;
   popts.threads = 0;  // all hardware threads; results are index-slotted
-  popts.grain = 8;
   const std::vector<FuzzOutcome> outcomes =
       support::parallel_map<FuzzOutcome>(n, popts, [](std::size_t i) {
         FuzzOutcome out;

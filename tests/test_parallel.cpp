@@ -1,13 +1,15 @@
 // The parallel-execution subsystem (support/thread_pool.*, support/
 // parallel.*): coverage, determinism of index-slotted collection, the
-// serial fallback, exception propagation, nested use on a starved pool,
-// and thread-count resolution.  Labeled `parallel` so the TSan CI job can
+// serial fallback, exception propagation and its ranking against
+// cancellation, external cancellation, nested use on a starved pool, and
+// thread-count resolution.  Labeled `parallel` so the TSan CI job can
 // select exactly the suites that exercise concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -23,11 +25,10 @@
 namespace soap::support {
 namespace {
 
-ParallelOptions with_threads(std::size_t threads, std::size_t grain = 1,
+ParallelOptions with_threads(std::size_t threads,
                              Executor* executor = nullptr) {
   ParallelOptions opt;
   opt.threads = threads;
-  opt.grain = grain;
   if (executor != nullptr) opt.executor = ExecutorRef(*executor);
   return opt;
 }
@@ -111,9 +112,11 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelFor, GrainSizedChunksCoverEverything) {
-  constexpr std::size_t kN = 1237;  // deliberately not a grain multiple
+  // One index per cursor fetch: an odd count at a thread budget that does
+  // not divide it still runs every index exactly once.
+  constexpr std::size_t kN = 1237;
   std::vector<std::atomic<int>> hits(kN);
-  parallel_for(kN, with_threads(4, /*grain=*/64),
+  parallel_for(kN, with_threads(4),
                [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
@@ -131,10 +134,10 @@ TEST(ParallelFor, SerialFallbackStaysOnCallingThread) {
 }
 
 TEST(ParallelFor, SingleChunkBypassesPool) {
-  // n <= grain is one chunk: runs inline even with a large thread budget.
+  // A single index runs inline even with a large thread budget.
   const std::thread::id caller = std::this_thread::get_id();
   std::set<std::thread::id> ids;
-  parallel_for(50, with_threads(8, /*grain=*/64),
+  parallel_for(1, with_threads(8),
                [&](std::size_t) { ids.insert(std::this_thread::get_id()); });
   EXPECT_EQ(ids.size(), 1u);
   EXPECT_EQ(*ids.begin(), caller);
@@ -162,6 +165,19 @@ TEST(ParallelMap, IndexSlottedResultsAreDeterministic) {
     auto parallel = parallel_map<std::size_t>(512, with_threads(threads),
                                               square);
     EXPECT_EQ(parallel, serial) << threads << " threads";
+  }
+}
+
+TEST(ParallelMap, MoveOnlyResultsFlowThrough) {
+  for (std::size_t threads : {1u, 4u}) {
+    std::vector<std::unique_ptr<std::size_t>> out =
+        parallel_map<std::unique_ptr<std::size_t>>(
+            32, with_threads(threads),
+            [](std::size_t i) { return std::make_unique<std::size_t>(2 * i); });
+    ASSERT_EQ(out.size(), 32u) << threads << " threads";
+    std::size_t sum = 0;
+    for (const auto& p : out) sum += *p;
+    EXPECT_EQ(sum, 2u * (32u * 31u / 2)) << threads << " threads";
   }
 }
 
@@ -226,11 +242,32 @@ TEST(ParallelFor, NestedOnStarvedPoolDoesNotDeadlock) {
   // late and no-op).  A deadlock shows up as the CTest timeout.
   ThreadPool pool(1);
   std::atomic<std::size_t> total{0};
-  parallel_for(8, with_threads(4, 1, &pool), [&](std::size_t) {
-    parallel_for(8, with_threads(4, 1, &pool),
+  parallel_for(8, with_threads(4, &pool), [&](std::size_t) {
+    parallel_for(8, with_threads(4, &pool),
                  [&](std::size_t j) { total.fetch_add(j); });
   });
   EXPECT_EQ(total.load(), 8u * (8u * 7u / 2));
+}
+
+TEST(ParallelFor, StarvedPoolDegradesToCallerWithoutDeadlock) {
+  // The pool's only worker is pinned; the caller must run every index
+  // itself (a deadlock shows up as the CTest timeout).
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  pool.submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+  auto square = [](std::size_t i) { return i * i; };
+  EXPECT_EQ(parallel_map<std::size_t>(100, with_threads(4, &pool), square),
+            parallel_map<std::size_t>(100, with_threads(1), square));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
 }
 
 TEST(ParallelFor, NestedSubmitFromWorkerTask) {
@@ -254,9 +291,9 @@ TEST(ParallelFor, NestedSubmitFromWorkerTask) {
 TEST(ParallelFor, NestedExceptionPropagatesThroughBothLevels) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      parallel_for(4, with_threads(2, 1, &pool),
+      parallel_for(4, with_threads(2, &pool),
                    [&](std::size_t) {
-                     parallel_for(4, with_threads(2, 1, &pool),
+                     parallel_for(4, with_threads(2, &pool),
                                   [](std::size_t j) {
                                     if (j == 2) {
                                       throw std::logic_error("inner");
@@ -291,6 +328,107 @@ TEST(ParallelFor, ConcurrentParallelForsFromManyThreads) {
   }
   for (std::thread& c : callers) c.join();
   EXPECT_EQ(sum.load(), 4u * (500u * 499u / 2));
+}
+
+// --- external cancellation (ParallelOptions::cancel) ---
+
+TEST(ParallelFor, PreTrippedTokenCancelsSerialAndParallel) {
+  for (std::size_t threads : {1u, 4u}) {
+    CancellationSource source;
+    source.request_cancel();
+    ParallelOptions opt;
+    opt.threads = threads;
+    opt.cancel = source.token();
+    std::atomic<std::size_t> ran{0};
+    try {
+      parallel_for(100, opt, [&](std::size_t) { ran.fetch_add(1); });
+      FAIL() << "expected AnalysisError{kCancelled} with " << threads
+             << " threads";
+    } catch (const AnalysisError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kCancelled);
+    }
+    EXPECT_EQ(ran.load(), 0u) << threads << " threads";
+  }
+}
+
+TEST(ParallelFor, CancelMidRunStopsClaimingChunks) {
+  ThreadPool pool(4);
+  CancellationSource source;
+  ParallelOptions opt;
+  opt.threads = 4;
+  opt.executor = ExecutorRef(pool);
+  opt.cancel = source.token();
+  std::atomic<std::size_t> ran{0};
+  try {
+    parallel_for(100000, opt, [&](std::size_t) {
+      if (ran.fetch_add(1) == 64) source.request_cancel();
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+    });
+    FAIL() << "expected AnalysisError{kCancelled}";
+  } catch (const AnalysisError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+  }
+  EXPECT_LT(ran.load(), 100000u);
+}
+
+TEST(ParallelFor, RecordedErrorOutranksCancellation) {
+  // A real failure recorded before (or while) the token trips must win:
+  // cancellation is a reason to stop, not a reason to hide the bug.
+  ThreadPool pool(2);
+  for (std::size_t threads : {1u, 2u}) {
+    CancellationSource source;
+    ParallelOptions opt = with_threads(threads, &pool);
+    opt.cancel = source.token();
+    try {
+      parallel_for(50, opt, [&](std::size_t i) {
+        if (i == 0) {
+          source.request_cancel();
+          throw std::runtime_error("work failure");
+        }
+      });
+      FAIL() << "expected the work failure with " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "work failure");
+    }
+  }
+}
+
+TEST(ParallelFor, TeardownStressCancellationRacesOnSharedPool) {
+  // Many rounds of cancellation landing at varying phases of the run —
+  // before the first claim, mid-drain, after completion — on one shared
+  // pool.  The invariants: every round either completes fully or raises
+  // kCancelled, a completed round ran every index exactly once, and the
+  // pool survives to the next round (leaks/deadlocks surface under the
+  // sanitizer presets; label `parallel` puts this suite in the TSan job).
+  ThreadPool pool(4);
+  for (int round = 0; round < 60; ++round) {
+    CancellationSource source;
+    ParallelOptions opt = with_threads(4, &pool);
+    opt.cancel = source.token();
+    std::vector<std::atomic<int>> hits(300);
+    std::thread killer([&source, round] {
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
+      source.request_cancel();
+    });
+    bool cancelled = false;
+    try {
+      parallel_for(hits.size(), opt, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(5));
+        hits[i].fetch_add(1);
+      });
+    } catch (const AnalysisError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kCancelled) << "round " << round;
+      cancelled = true;
+    }
+    killer.join();
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      const int ran = hits[i].load();
+      ASSERT_LE(ran, 1) << "round " << round << " index " << i;
+      if (!cancelled) {
+        ASSERT_EQ(ran, 1) << "round " << round << " index " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

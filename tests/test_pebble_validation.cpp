@@ -12,6 +12,7 @@
 #include "frontend/lower.hpp"
 #include "pebbles/validate.hpp"
 #include "support/executor.hpp"
+#include "support/parallel.hpp"
 #include "support/thread_pool.hpp"
 
 namespace soap::pebbles {
@@ -34,10 +35,10 @@ for i in range(N):
 )");
 }
 
-ShardOptions with_threads(std::size_t threads) {
-  ShardOptions shard;
-  shard.threads = threads;
-  return shard;
+support::ParallelOptions with_threads(std::size_t threads) {
+  support::ParallelOptions parallel;
+  parallel.threads = threads;
+  return parallel;
 }
 
 // CDAGs have no operator==; compare the full observable structure.
@@ -188,17 +189,38 @@ TEST(ValidateSchedules, SerialExecutorForcesInlineExecution) {
   Cdag gemm = instantiate(gemm_program(), {{"N", 2}});
   std::vector<PebbleCase> cases;
   for (std::size_t S = 4; S <= 8; ++S) cases.push_back({&gemm, S});
-  ShardOptions shard;
-  shard.threads = 8;
-  shard.executor = support::ExecutorRef::serial();
+  support::ParallelOptions parallel;
+  parallel.threads = 8;
+  parallel.executor = support::ExecutorRef::serial();
   std::vector<ScheduleValidation> inline_run =
-      validate_schedules(cases, Replacement::kBelady, shard);
+      validate_schedules(cases, Replacement::kBelady, parallel);
   std::vector<ScheduleValidation> serial =
       validate_schedules(cases, Replacement::kBelady, with_threads(1));
   ASSERT_EQ(inline_run.size(), serial.size());
   for (std::size_t i = 0; i < inline_run.size(); ++i) {
     EXPECT_EQ(inline_run[i].schedule.io_cost, serial[i].schedule.io_cost);
     EXPECT_EQ(inline_run[i].consistent(), serial[i].consistent());
+  }
+}
+
+TEST(ValidateSchedules, PreTrippedTokenCancelsTheBatch) {
+  // The batch entry points take the full ParallelOptions, so a tripped
+  // cancellation token stops them before any case runs.
+  Cdag gemm = instantiate(gemm_program(), {{"N", 2}});
+  std::vector<PebbleCase> cases;
+  for (std::size_t S = 4; S <= 8; ++S) cases.push_back({&gemm, S});
+  for (std::size_t threads : {1u, 4u}) {
+    support::CancellationSource source;
+    source.request_cancel();
+    support::ParallelOptions parallel = with_threads(threads);
+    parallel.cancel = source.token();
+    try {
+      validate_schedules(cases, Replacement::kBelady, parallel);
+      FAIL() << "expected AnalysisError{kCancelled} with " << threads
+             << " threads";
+    } catch (const support::AnalysisError& e) {
+      EXPECT_EQ(e.code(), support::StatusCode::kCancelled);
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // corpus application the full MultiStatementBound — Q renderings, per-array
 // rho expressions and reference values (compared bit-exactly), best
 // subgraphs, and subgraph counts — must be identical for threads = 1 / 2 /
-// 8 / 0(hardware).  The serial run (threads = 1, the pipeline's pool-free
+// 8 / 0(hardware).  The serial run (threads = 1, parallel_map's pool-free
 // inline path) is the oracle.  Expr comparisons use operator==, which under
 // hash-consing is pointer identity: the strongest possible "bit-identical"
 // statement within a run.  Labeled `parallel` for the TSan CI job.
@@ -122,20 +122,20 @@ TEST_P(CorpusDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(CorpusDeterminism, PipelinedMatchesLevelSyncAtEveryThreadCount) {
-  // The acceptance bar of the pipeline refactor, kept after the
-  // level-synchronous schedule was removed: its role as the reference is
-  // taken by the serial run (threads = 1, the pipeline's stages inline
-  // without a pool).  A fresh serial run and every parallel worker count,
-  // including all hardware threads, must reproduce that oracle bit for bit
-  // (pointer-identical Exprs, bit-exact doubles).
+  // The name is kept so the test's history stays traceable; neither a
+  // pipelined nor a level-synchronous schedule exists any more.  The
+  // reference is the serial run (threads = 1: the per-subgraph loop runs
+  // inline without a pool).  A fresh serial run and every parallel worker
+  // count, including all hardware threads, must reproduce that oracle bit
+  // for bit (pointer-identical Exprs, bit-exact doubles).
   const kernels::KernelEntry& k = kernels::kernel_by_name(GetParam());
   Program program = k.build();
   Snapshot oracle = snapshot(program, k.options, 1);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8},
                               std::size_t{0}}) {
-    Snapshot pipelined = snapshot(program, k.options, threads);
-    expect_identical(oracle, pipelined,
-                     k.name + " pipelined @" + std::to_string(threads) +
+    Snapshot parallel = snapshot(program, k.options, threads);
+    expect_identical(oracle, parallel,
+                     k.name + " @" + std::to_string(threads) +
                          " threads vs serial oracle");
   }
 }
