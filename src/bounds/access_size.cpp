@@ -69,11 +69,12 @@ Expr AccessTerm::size_expr() const {
   throw std::logic_error("AccessTerm::size_expr: bad kind");
 }
 
-// prod(e_i) - prod(e_i - c_i) suffers catastrophic cancellation for large
-// tiles; evaluate it by inclusion-exclusion instead:
-//   prod(e) - prod(e - c) = sum_{T != 0} (-1)^{|T|+1} prod_{i in T} c_i *
-//                                                prod_{i not in T} e_i,
-// whose summands have the magnitude of the result, not of prod(e).
+// prod(e) - prod(e - c) cancels catastrophically when offsets are much
+// smaller than extents, so it is evaluated in its telescoped form
+//   prod(e) - prod(e - c) = sum_i c_i * prod_{j<i} (e_j - c_j) * prod_{j>i} e_j,
+// accumulated in one pass as d <- d * e_i + c_i * prod_{j<i} (e_j - c_j).
+// With e >= c every summand is non-negative, so nothing cancels, and the
+// cost is O(n).
 // Cache-line aligned, like CompiledTerm::eval (its caller): these two are
 // the chi fit's innermost loops, and where the linker happened to place
 // them swung corpus time by ~10% between builds that differed only in
@@ -82,33 +83,20 @@ __attribute__((aligned(64))) double combine_access_extents(
     TermKind kind, const double* e, const double* c, std::size_t n) {
   if (n > 20) throw std::logic_error("AccessTerm::eval: too many dims");
   double prod = 1.0;
+  double minus = 1.0;  // prod_{j<i} (e_j - c_j)
+  double difference = 0.0;
   bool any_offset = false;
   for (std::size_t i = 0; i < n; ++i) {
+    difference = difference * e[i] + c[i] * minus;
+    minus *= e[i] - c[i];
     prod *= e[i];
     if (c[i] > 0) any_offset = true;
   }
-  auto difference = [&]() {
-    double total = 0.0;
-    for (std::size_t mask = 1; mask < (1u << n); ++mask) {
-      double term = 1.0;
-      int bits = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) {
-          term *= c[i];
-          ++bits;
-        } else {
-          term *= e[i];
-        }
-      }
-      total += (bits % 2 == 1) ? term : -term;
-    }
-    return total;
-  };
   switch (kind) {
     case TermKind::kPlain:
-      return any_offset ? prod + difference() : prod;
+      return any_offset ? prod + difference : prod;
     case TermKind::kInputOutput:
-      return difference();
+      return difference;
     case TermKind::kVersioned:
     case TermKind::kOutput:
       return prod;

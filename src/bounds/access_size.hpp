@@ -71,8 +71,9 @@ struct AccessTerm {
 };
 
 /// Combines per-dimension extents e[0..n) and offset counts c[0..n) into |A|
-/// for the given counting rule, using the cancellation-safe
-/// inclusion-exclusion expansion of prod(e) - prod(e - c).  Shared by
+/// for the given counting rule.  prod(e) - prod(e - c) is evaluated in the
+/// O(n) telescoped form sum_i c_i * prod_{j<i} (e_j - c_j) * prod_{j>i} e_j,
+/// which does not cancel when e >= c.  Shared by
 /// AccessTerm::eval and the optimizer's index-compiled terms so the numerics
 /// cannot drift apart.  Requires n <= 20 (throws std::logic_error).
 double combine_access_extents(TermKind kind, const double* e, const double* c,

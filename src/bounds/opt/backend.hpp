@@ -39,10 +39,10 @@ struct VarBound {
   double hi = std::numeric_limits<double>::infinity();
 };
 
-/// Counts projected-objective evaluations (always) and, when StopCriteria
-/// are set, checks them against the solver-eval budget (the nlopt `maxeval`
-/// analogue) and polls deadline/cancellation every 32 ticks so the poll
-/// cost stays invisible next to the evaluation itself.  One guard per chi
+/// Counts projected-objective evaluations and KKT polish iterations (always)
+/// and, when StopCriteria are set, checks them against the solver-eval budget
+/// (the nlopt `maxeval` analogue) and polls deadline/cancellation every 32
+/// ticks so the poll cost stays invisible next to the evaluation itself.  One guard per chi
 /// derivation — shared across the derivation's solves so the budget is
 /// per-derivation, not per-solve, and the evaluation that trips is
 /// deterministic.

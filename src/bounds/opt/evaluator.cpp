@@ -23,8 +23,9 @@ void EvalGuard::tick() {
 // Cache-line aligned: see combine_access_extents (bounds/access_size.cpp).
 __attribute__((aligned(64))) double CompiledTerm::eval(
     const std::vector<double>& x) const {
-  // Stack scratch: this runs hundreds of thousands of times per solve
-  // (Nelder-Mead x bisection x terms); combine_access_extents caps n at 20.
+  // Stack scratch, no allocation: this is the chi fit's innermost call, made
+  // per term at every bisection step of feasible_scale and of kkt_polish's
+  // projection and central differences.  n <= 20, the combiner's own cap.
   double e[20];
   double c[20];
   const std::size_t n = dims.size();
@@ -141,9 +142,13 @@ double feasible_scale(const Evaluator& ev, const std::vector<double>& x,
     lo = hi;
     hi *= 4.0;
   }
+  // Once a halving leaves the bracket unchanged, so would all later ones: stop
+  // there, bit-identical to running all 200.
   for (int it = 0; it < 200; ++it) {
     double mid = 0.5 * (lo + hi);
-    (feasible(mid) ? lo : hi) = mid;
+    double& side = feasible(mid) ? lo : hi;
+    if (side == mid) break;
+    side = mid;
   }
   return lo;
 }
@@ -250,33 +255,35 @@ std::vector<double> nelder_mead(const Evaluator& ev, double X,
 void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
                 EvalGuard* guard, const BoundsView& bv) {
   const std::size_t n = u->size();
-  auto tiles_of = [&](const std::vector<double>& uu) {
-    std::vector<double> tiles(n);
+  // One scratch tile vector for every evaluation below.
+  std::vector<double> tiles(n);
+  auto load = [&](const std::vector<double>& uu, double shift) {
     for (std::size_t i = 0; i < n; ++i) {
-      tiles[i] = std::exp(std::max(0.0, uu[i]));
+      tiles[i] = std::exp(std::max(0.0, uu[i] + shift));
     }
-    return tiles;
   };
-  auto sum_g = [&](const std::vector<double>& uu) {
-    auto tiles = tiles_of(uu);
+  auto sum_g = [&]() {
     double s = 0.0;
     for (const CompiledTerm& t : ev.sum_terms) s += t.eval(tiles);
     return s;
   };
   auto singles_ok = [&](const std::vector<double>& uu) {
-    auto tiles = tiles_of(uu);
+    load(uu, 0.0);
     for (const CompiledTerm& t : ev.single_terms) {
       if (t.eval(tiles) > X * (1.0 + 1e-9)) return false;
     }
     return true;
   };
+  // Largest uniform log-shift keeping the sum constraint within X; like
+  // feasible_scale, the bisection stops once the bracket stops moving.
   auto project = [&](std::vector<double>* uu) {
     double lo = -60.0, hi = 60.0;
     for (int it = 0; it < 100; ++it) {
       double mid = 0.5 * (lo + hi);
-      std::vector<double> shifted = *uu;
-      for (double& v : shifted) v += mid;
-      (sum_g(shifted) <= X ? lo : hi) = mid;
+      load(*uu, mid);
+      double& side = sum_g() <= X ? lo : hi;
+      if (side == mid) break;
+      side = mid;
     }
     for (double& v : *uu) v = std::max(0.0, v + lo);
   };
@@ -289,16 +296,19 @@ void kkt_polish(const Evaluator& ev, double X, std::vector<double>* u,
     std::vector<double> r(n);
     double mean_log = 0.0;
     int active = 0;
-    double f0 = std::exp(projected_objective(ev, w, X, bv, guard));
-    (void)f0;
+    // Central differences: perturb one tile of the loaded point at a time.
+    load(w, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      std::vector<double> up = w, dn = w;
-      up[i] += eps;
-      dn[i] -= eps;
-      double dg = (sum_g(up) - sum_g(dn)) / (2 * eps);
-      double df = (ev.objective_value(tiles_of(up)) -
-                   ev.objective_value(tiles_of(dn))) /
-                  (2 * eps);
+      const double at_w = tiles[i];
+      tiles[i] = std::exp(std::max(0.0, w[i] + eps));
+      const double g_up = sum_g();
+      const double f_up = ev.objective_value(tiles);
+      tiles[i] = std::exp(std::max(0.0, w[i] - eps));
+      const double g_dn = sum_g();
+      const double f_dn = ev.objective_value(tiles);
+      tiles[i] = at_w;
+      double dg = (g_up - g_dn) / (2 * eps);
+      double df = (f_up - f_dn) / (2 * eps);
       if (dg <= 0 || df <= 0) {
         r[i] = 0;
         continue;

@@ -21,7 +21,7 @@ namespace soap::bounds::opt {
 // Compiled (dense-index) view of the problem for the numeric inner loops:
 // tile variables become vector indices and access terms precompile their
 // per-dimension variable lists, so Nelder-Mead / compass iterations never
-// touch a string-keyed map.  Mirrors AccessTerm::eval's inclusion-exclusion.
+// touch a string-keyed map.  Counts via AccessTerm::eval's combiner.
 struct CompiledDim {
   DimSpec::Mode mode = DimSpec::Mode::kProduct;
   std::vector<std::size_t> vars;

@@ -1,12 +1,16 @@
 // Machine-checks the combinatorial heart of the paper: the access-set size
-#include <functional>
-#include <cmath>
 // formulas (Lemma 3 / Corollary 1) and the dominator-set bound
 // |Dom_min(H_rec)| >= sum_j |A_j| against brute-force enumeration on
 // explicit CDAGs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <random>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "bounds/access_size.hpp"
 #include "frontend/lower.hpp"
@@ -197,6 +201,95 @@ TEST(SignedMonomials, MatchEvalOnRandomTiles) {
       EXPECT_NEAR(direct, summed, 1e-9);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// combine_access_extents, the chi fit's innermost combiner, against exact
+// rational arithmetic.
+// ---------------------------------------------------------------------------
+
+using bounds::TermKind;
+
+// |A| from integer extents and offsets, in exact arithmetic: the naive
+// prod(e) - prod(e - c) that the double combiner must not evaluate directly.
+Rational exact_combined(TermKind kind, const std::vector<long long>& e,
+                        const std::vector<long long>& c) {
+  Rational prod = 1;
+  Rational minus = 1;
+  bool any_offset = false;
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    prod *= Rational(e[i]);
+    minus *= Rational(e[i] - c[i]);
+    if (c[i] > 0) any_offset = true;
+  }
+  switch (kind) {
+    case TermKind::kPlain:
+      return any_offset ? Rational(2) * prod - minus : prod;
+    case TermKind::kInputOutput:
+      return prod - minus;
+    case TermKind::kVersioned:
+    case TermKind::kOutput:
+      return prod;
+  }
+  throw std::logic_error("exact_combined: bad kind");
+}
+
+double combined(TermKind kind, const std::vector<long long>& e,
+                const std::vector<long long>& c) {
+  std::vector<double> ed(e.begin(), e.end());
+  std::vector<double> cd(c.begin(), c.end());
+  return bounds::combine_access_extents(kind, ed.data(), cd.data(), e.size());
+}
+
+constexpr TermKind kAllKinds[] = {TermKind::kPlain, TermKind::kInputOutput,
+                                  TermKind::kVersioned, TermKind::kOutput};
+
+TEST(CombineAccessExtents, MatchesExactArithmeticOnRandomExtents) {
+  std::mt19937_64 rng(20210704);
+  std::uniform_int_distribution<int> dims(1, 6);
+  std::uniform_int_distribution<long long> offset(0, 3);
+  std::uniform_int_distribution<long long> extent(0, 1000);
+  for (int trial = 0; trial < 500; ++trial) {
+    const int n = dims(rng);
+    std::vector<long long> e(n);
+    std::vector<long long> c(n);
+    for (int i = 0; i < n; ++i) {
+      c[i] = offset(rng);
+      e[i] = std::max(c[i], 1LL) + extent(rng);
+    }
+    for (TermKind kind : kAllKinds) {
+      const double want = exact_combined(kind, e, c).to_double();
+      EXPECT_LE(std::fabs(combined(kind, e, c) - want),
+                1e-12 * std::fabs(want))
+          << "trial " << trial << " kind " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(CombineAccessExtents, NoCancellationWhenOffsetsAreTinyAgainstExtents) {
+  // e = 1e6, c = 1: prod(e) - prod(e - c) is ~n * 1e30 next to prod(e) =
+  // 1e36, which a naive double difference cannot resolve.
+  for (std::size_t n = 1; n <= 6; ++n) {
+    const std::vector<long long> e(n, 1000000);
+    const std::vector<long long> c(n, 1);
+    for (TermKind kind : kAllKinds) {
+      const double want = exact_combined(kind, e, c).to_double();
+      EXPECT_LE(std::fabs(combined(kind, e, c) - want),
+                1e-12 * std::fabs(want))
+          << "n " << n << " kind " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(CombineAccessExtents, TwentyDimsIsTheCap) {
+  // 2^20 - 1^20 and 2 * 2^20 - 1, both exact in doubles.
+  const std::vector<long long> e(20, 2);
+  const std::vector<long long> c(20, 1);
+  EXPECT_EQ(combined(TermKind::kInputOutput, e, c), 1048575.0);
+  EXPECT_EQ(combined(TermKind::kPlain, e, c), 2097151.0);
+  const std::vector<long long> e21(21, 2);
+  const std::vector<long long> c21(21, 1);
+  EXPECT_THROW(combined(TermKind::kPlain, e21, c21), std::logic_error);
 }
 
 }  // namespace

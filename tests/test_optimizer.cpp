@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bounds/opt/backend.hpp"
+#include "bounds/opt/evaluator.hpp"
 #include "bounds/opt/types.hpp"
 #include "bounds/single_statement.hpp"
 #include "frontend/lower.hpp"
@@ -357,6 +362,87 @@ TEST(DeriveChi, RecordsHealthySolveCode) {
   auto chi = derive_chi(gemm_problem());
   ASSERT_TRUE(chi);
   EXPECT_EQ(chi->solve_code, opt::ResultCode::kSuccess);
+}
+
+// ---------------------------------------------------------------------------
+// The chi fit's hot path: the feasibility bisection and the work counter.
+// ---------------------------------------------------------------------------
+
+// feasible_scale with a fixed 200 halvings, as it ran before it learned to
+// stop once the bracket stops moving.  The early stop must not change a bit.
+double reference_scale(const opt::Evaluator& ev, const std::vector<double>& x,
+                       double X, const opt::BoundsView& bv) {
+  std::vector<double> tiles(x.size());
+  auto feasible = [&](double m) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      tiles[i] = bv.clamp(i, m * x[i]);
+    }
+    return ev.utilization(tiles, X) <= 1.0;
+  };
+  if (!feasible(1e-12)) return 0.0;
+  double lo = 1e-12, hi = 1.0;
+  while (feasible(hi) && hi < 1e18) {
+    lo = hi;
+    hi *= 4.0;
+  }
+  for (int it = 0; it < 200; ++it) {
+    double mid = 0.5 * (lo + hi);
+    (feasible(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+void expect_scale_matches_reference(const OptimizationProblem& p,
+                                    const std::vector<opt::VarBound>& bounds,
+                                    std::uint64_t seed) {
+  const opt::Evaluator ev(p);
+  const opt::BoundsView bv = opt::BoundsView::make(p.vars.size(), bounds);
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> log_tile(-3.0, 6.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> x(p.vars.size());
+    for (double& xi : x) xi = std::pow(10.0, log_tile(rng));
+    for (double X : {10.0, 3e4, 1e7}) {
+      const double got = opt::feasible_scale(ev, x, X, bv);
+      const double want = reference_scale(ev, x, X, bv);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "trial " << trial << " X " << X << ": " << got << " vs " << want;
+    }
+  }
+}
+
+TEST(FeasibleScale, BitIdenticalToFixedBisectionOnStencil) {
+  expect_scale_matches_reference(problem_of(R"(
+for t in range(T):
+  for i in range(1, N - 1):
+    A[i,t+1] = A[i-1,t] + A[i,t] + A[i+1,t]
+)"),
+                                 {}, 7);
+}
+
+TEST(FeasibleScale, BitIdenticalToFixedBisectionOnGemm) {
+  expect_scale_matches_reference(gemm_problem(), {}, 11);
+}
+
+TEST(FeasibleScale, BitIdenticalToFixedBisectionAtTheScaleCap) {
+  // Tiles capped at 4 never exhaust X >= 10: the scale runs into its 1e18
+  // cap with hi itself feasible, so the last halvings land on hi.
+  expect_scale_matches_reference(gemm_problem(),
+                                 std::vector<opt::VarBound>(3, {1.0, 4.0}), 13);
+}
+
+TEST(OptimizerBackend, NelderMeadEvaluationCountIsPinned) {
+  // A deterministic work counter for the default solve: one tick per
+  // Nelder-Mead evaluation and per KKT polish iteration.  It moves only when
+  // the search itself changes.  Before the hot-path cut it was 356: the
+  // polish also spent a tick per iteration on a discarded objective.
+  opt::SolveRequest request;
+  request.X = 3e4;
+  const opt::SolveResult result =
+      opt::backend(opt::BackendKind::kNelderMead).solve(gemm_problem(), request);
+  EXPECT_EQ(result.code, opt::ResultCode::kSuccess);
+  EXPECT_EQ(result.evaluations, 294u);
 }
 
 }  // namespace
